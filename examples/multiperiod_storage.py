@@ -16,11 +16,11 @@ import numpy as np
 import repro
 from repro.feeders import SyntheticFeederSpec, build_synthetic_feeder
 from repro.multiperiod import (
-    MultiPeriodSolverFreeADMM,
     Storage,
     build_multiperiod_lp,
     decompose_multiperiod,
 )
+from repro.socp import ConicSolverFreeADMM
 from repro.utils import format_table
 
 #: A stylized daily shape: overnight valley, morning ramp, evening peak.
@@ -52,7 +52,7 @@ def main() -> None:
     print(f"decomposition: {dec.n_components} components "
           f"(the battery's SOC chain is one component spanning the day)")
 
-    res = MultiPeriodSolverFreeADMM(
+    res = ConicSolverFreeADMM(
         dec, repro.ADMMConfig(max_iter=300_000, record_history=False)
     ).solve()
     print(res.summary())

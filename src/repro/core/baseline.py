@@ -23,8 +23,9 @@ Two local execution modes:
   instances where running thousands of solver-based iterations is
   impractical on this machine.  Timing benchmarks never use it.
 
-The iteration skeleton is :class:`repro.core.loop.ADMMLoop`; this class
-supplies the benchmark's update rules.  The per-component QP solves are
+The iteration skeleton is :class:`repro.core.loop.ADMMLoop` and the
+shared updates are :class:`repro.core.consensus.ConsensusADMM`'s; this
+class supplies the benchmark's local box-QPs.  The per-component QP solves are
 always fp64 (SciPy); under an fp32 backend only the consensus state is
 reduced precision.
 """
@@ -35,25 +36,25 @@ import time
 
 import numpy as np
 
-from repro.backend import refinement_backend, resolve_backend
+from repro.backend import resolve_backend
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy, LoopOutcome
-from repro.core.results import ADMMResult
+from repro.core.consensus import ConsensusADMM, stack_offsets
 from repro.decomposition.decomposed import DecomposedOPF
 from repro.qp.interior_point import solve_qp_box_eq
 from repro.qp.projection import project_box_affine
 from repro.telemetry import NULL_TRACER
 
 
-class BenchmarkADMM(IterationStrategy):
+class BenchmarkADMM(ConsensusADMM):
     """Solver-based component ADMM (the paper's comparison baseline)."""
 
     algorithm_name = "benchmark ADMM (solver-based)"
     # The baseline deliberately runs the plain algorithm: no
-    # over-relaxation, no residual balancing.
+    # over-relaxation, no residual balancing — and its global update is
+    # the unclipped x_hat of (10), the bounds living in the local QPs.
     use_relaxation = False
     supports_balancing = False
-    refinement_supported = True
+    clip_global = False
 
     def __init__(
         self,
@@ -66,145 +67,65 @@ class BenchmarkADMM(IterationStrategy):
     ):
         if local_mode not in ("interior_point", "projection"):
             raise ValueError(f"unknown local_mode {local_mode!r}")
+        super().__init__(
+            dec.lp, dec.global_cols, dec.counts, config,
+            tracer=tracer if tracer is not None else NULL_TRACER,
+            backend=resolve_backend(backend, precision),
+        )
         self.dec = dec
-        self.config = config or ADMMConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.local_mode = local_mode
-        self.backend = resolve_backend(backend, precision)
-        b = self.backend
-        lp = dec.lp
-        self.n = lp.n_vars
-        self.n_local = dec.n_local
-        self.c = b.asarray(lp.cost)
-        self.gcols = b.index_array(dec.global_cols)
-        self.counts = b.asarray(dec.counts)
-        self.components = dec.components
-        self.offsets = dec.offsets
+        self._bind_local(dec, 1, None)
 
-    # ------------------------------------------------------------------
-    def global_update(self, z, lam, rho: float):
-        """Unclipped x_hat of (10) — bounds live in the local subproblems."""
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / rho, self.n)
-        return (scatter - self.c / rho) / self.counts
+    @classmethod
+    def stacked(cls, dec, models, projections, backend=None):
+        """Stacked batches run the closed-form ``projection`` mode."""
+        solver = super().stacked(dec, models, projections, backend=backend)
+        solver.local_mode = "projection"
+        return solver
+
+    def _bind_local(self, dec, k_n, projections) -> None:
+        # Reduced (A_s, b_s) per component and the box gathered through
+        # the consensus map (scenario k's bounds for its own copies).
+        self.systems = (
+            projections if projections is not None
+            else [(c.a, c.b) for c in dec.components]
+        )
+        self.local_offsets = stack_offsets(dec.offsets, k_n)
+        self.local_lb = self.problem.lb[self.global_cols]
+        self.local_ub = self.problem.ub[self.global_cols]
 
     def solve_local(self, s: int, v_s: np.ndarray, rho: float) -> np.ndarray:
         """Solve component ``s``'s box-constrained QP for target ``v_s``."""
-        comp = self.components[s]
+        a, b = self.systems[s]
+        sl = slice(int(self.local_offsets[s]), int(self.local_offsets[s + 1]))
+        lb, ub = self.local_lb[sl], self.local_ub[sl]
         if self.local_mode == "projection":
-            return project_box_affine(v_s, comp.a, comp.b, comp.lb, comp.ub)
-        n_s = comp.n_vars
+            return project_box_affine(v_s, a, b, lb, ub)
+        n_s = v_s.shape[0]
         result = solve_qp_box_eq(
-            rho * np.eye(n_s),
-            -rho * v_s,
-            comp.a,
-            comp.b,
-            comp.lb,
-            comp.ub,
-            tol=self.config.qp_tol,
+            rho * np.eye(n_s), -rho * v_s, a, b, lb, ub, tol=self.config.qp_tol
         )
         return result.x
 
-    def local_update(self, bx, lam, rho: float):
-        v = bx + lam / rho
+    def project(self, v, rho):
+        """Every component's box-QP (its exact projection), solved on the
+        host in fp64 whatever the backend."""
+        v = self.backend.to_numpy(v)
         z = self.backend.empty(self.n_local)
-        for s in range(len(self.components)):
-            sl = self.dec.component_slice(s)
+        off = self.local_offsets
+        for s in range(len(self.systems)):
+            sl = slice(int(off[s]), int(off[s + 1]))
             z[sl] = self.solve_local(s, v[sl], rho)
         return z
-
-    def dual_update(self, lam, bx, z, rho: float):
-        return lam + rho * (bx - z)
-
-    # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop)
-    # ------------------------------------------------------------------
-    def global_step(self, z, lam, rho):
-        return self.global_update(z, lam, rho)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        return self.local_update(bx_eff, lam, rho)
-
-    def dual_step(self, lam, bx_eff, z, rho):
-        return self.dual_update(lam, bx_eff, z, rho)
 
     def span_args(self) -> dict:
         return {"n_vars": self.n, "local_mode": self.local_mode}
 
-    # ------------------------------------------------------------------
-    def initial_state(self, x0=None, z0=None, lam0=None):
-        b = self.backend
-        x = (
-            b.from_numpy(self.dec.lp.initial_point())
-            if x0 is None
-            else b.asarray(x0, copy=True)
-        )
-        z = x[self.gcols].copy() if z0 is None else b.asarray(z0, copy=True)
-        lam = b.zeros(self.n_local) if lam0 is None else b.asarray(lam0, copy=True)
-        return x, z, lam
-
-    def _make_loop(self, *, watch_stall: bool = True) -> ADMMLoop:
-        return ADMMLoop(
-            self,
-            self.config,
-            backend=self.backend,
-            tracer=self.tracer,
-            watch_stall=watch_stall,
-        )
-
-    def solve(
-        self,
-        x0=None,
-        z0=None,
-        lam0=None,
-        max_iter: int | None = None,
-        callback=None,
-    ) -> ADMMResult:
-        """Run the benchmark ADMM until (16) holds or the budget is hit."""
-        cfg = self.config
-        budget = cfg.max_iter if max_iter is None else max_iter
-        x, z, lam = self.initial_state(x0, z0, lam0)
-        loop = self._make_loop()
-        outcome = loop.run(x, z, lam, budget=budget, callback=callback)
-        if outcome.stalled and self.refinement_supported:
-            return self._refine(loop, outcome, budget, callback)
-        return loop.result(outcome)
-
-    # ------------------------------------------------------------------
     def _refinement_solver(self, backend) -> "BenchmarkADMM":
         return type(self)(
             self.dec, self.config, local_mode=self.local_mode,
             tracer=self.tracer, backend=backend,
         )
-
-    def _refine(
-        self, loop: ADMMLoop, outcome: LoopOutcome, budget: int, callback
-    ) -> ADMMResult:
-        """Continue a stalled low-precision solve in fp64 (same scheme as
-        :meth:`repro.core.solver_free.SolverFreeADMM._refine`)."""
-        remaining = budget - outcome.iterations
-        twin = self._refinement_solver(refinement_backend(self.backend))
-        if remaining <= 0 or twin is None:
-            return loop.result(outcome)
-        b = self.backend
-        x64, z64, lam64 = twin.initial_state(
-            b.to_numpy(outcome.x), b.to_numpy(outcome.z), b.to_numpy(outcome.lam)
-        )
-        loop64 = twin._make_loop(watch_stall=False)
-        out64 = loop64.run(x64, z64, lam64, budget=remaining, callback=callback)
-        result = loop64.result(out64)
-        result.iterations += outcome.iterations
-        if outcome.history is not None and out64.history is not None:
-            merged = outcome.history
-            for name in ("pres", "dres", "eps_prim", "eps_dual", "rho"):
-                getattr(merged, name).extend(getattr(out64.history, name))
-            result.history = merged
-        timers = dict(outcome.timers)
-        for key, val in result.timers.items():
-            timers[key] = timers.get(key, 0.0) + val
-        result.timers = timers
-        result.algorithm = f"{self.algorithm_name} (fp32 + fp64 refinement)"
-        return result
 
     # ------------------------------------------------------------------
     def measure_local_costs(self, repeats: int = 3, rho: float | None = None) -> np.ndarray:
@@ -212,8 +133,8 @@ class BenchmarkADMM(IterationStrategy):
         component — the benchmark's per-agent unit of work."""
         rho = self.config.rho if rho is None else rho
         rng = np.random.default_rng(0)
-        costs = np.empty(len(self.components))
-        for s, comp in enumerate(self.components):
+        costs = np.empty(self.dec.n_components)
+        for s, comp in enumerate(self.dec.components):
             v = rng.standard_normal(comp.n_vars) * 0.1
             best = float("inf")
             for _ in range(repeats):

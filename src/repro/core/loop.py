@@ -84,9 +84,11 @@ class IterationStrategy:
     """Update rules + hooks one ADMM variant plugs into :class:`ADMMLoop`.
 
     Concrete strategies must provide :meth:`global_step` and
-    :meth:`local_step` (or the fused :attr:`local_dual_step`) and set
-    the attributes ``algorithm_name``, ``gcols`` (the consensus gather
-    index), ``c`` (the cost vector) and ``backend``.
+    :meth:`local_step` + :meth:`dual_step` (or the fused
+    :attr:`local_dual_step`) and set the attributes ``algorithm_name``,
+    ``gcols`` (the consensus gather index), ``c`` (the cost vector) and
+    ``backend``.  :class:`repro.core.consensus.ConsensusADMM` provides
+    the shared consensus rules every solver in the repo runs.
     """
 
     algorithm_name = "ADMM"
@@ -94,9 +96,6 @@ class IterationStrategy:
     use_relaxation = True
     #: Honor ``config.residual_balancing`` (fixed-rho variants opt out).
     supports_balancing = True
-    #: Honor ``config.divergence_guard`` (variants that handle non-finite
-    #: iterates themselves, like the stacked serving solve, opt out).
-    guard_enabled = True
     #: Set to a callable to replace the engine's residual computation.
     residuals = None
     #: Set to a callable ``(bx_eff, z_prev, lam, rho) -> (z, lam)`` to fuse
@@ -119,8 +118,7 @@ class IterationStrategy:
         raise NotImplementedError
 
     def dual_step(self, lam, bx_eff, z, rho):
-        """Eq. (19)."""
-        return lam + rho * (bx_eff - z)
+        raise NotImplementedError
 
     def objective(self, x) -> float:
         """Cost of a (possibly fp32 / device) solution, fp64-accumulated."""
@@ -266,7 +264,7 @@ class ADMMLoop:
         stall_best = None  # running best of the stall metric
         stall_best_at_check = None  # its value at the previous check
         fused = strat.local_dual_step is not None
-        guard = cfg.divergence_guard and strat.guard_enabled
+        guard = cfg.divergence_guard
         spans = self.phase_spans
         # perf_counter stamps feed the phase timers and/or the phase spans.
         res = None

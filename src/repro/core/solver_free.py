@@ -5,15 +5,18 @@ consensus structure of Section IV-C:
 
 * **global update** (13)/(18): a scatter-add of the local solutions and
   duals, a diagonal scaling by the copy counts ``diag(B^T B)``, and a clip
-  to the global bounds — the *only* place the bound constraints (9d) live;
+  to the global bounds — the *only* place the bound constraints (9d) live
+  (shared by every rung, :mod:`repro.core.consensus`);
 * **local update** (15): one batched affine projection per component
   (``repro.core.batch``), replacing the per-component QP solver of the
   benchmark with a matrix-vector product;
 * **dual update** (12)/(19).
 
 Termination follows the relative primal/dual criterion (16).  The
-iteration skeleton itself lives in :class:`repro.core.loop.ADMMLoop`;
-this class supplies Algorithm 1's update rules and runs on any
+iteration skeleton lives in :class:`repro.core.loop.ADMMLoop` and the
+shared global/dual updates and solve driver in
+:class:`repro.core.consensus.ConsensusADMM`; this class supplies
+Algorithm 1's local operator and runs on any
 :class:`repro.backend.Backend` — fp64 NumPy (default, bit-identical to
 the historical implementation), fp32 with the automatic fp64-refinement
 fallback, or CuPy.  Warm starting from a previous result is supported,
@@ -26,17 +29,16 @@ import time
 
 import numpy as np
 
-from repro.backend import refinement_backend, resolve_backend
+from repro.backend import resolve_backend
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy, LoopOutcome
-from repro.core.results import ADMMResult
+from repro.core.consensus import ConsensusADMM, stack_offsets
 from repro.core.rho import ResidualBalancer
 from repro.decomposition.decomposed import DecomposedOPF
 from repro.telemetry import NULL_TRACER
 
 
-class SolverFreeADMM(IterationStrategy):
+class SolverFreeADMM(ConsensusADMM):
     """Algorithm 1 on a decomposed OPF model.
 
     Parameters
@@ -68,10 +70,6 @@ class SolverFreeADMM(IterationStrategy):
     """
 
     algorithm_name = "solver-free ADMM"
-    #: Mixed-precision runs may continue a stalled fp32 solve in fp64;
-    #: variants with solver state the continuation cannot reconstruct
-    #: (compression codecs, privacy accountants) opt out.
-    refinement_supported = True
 
     def __init__(
         self,
@@ -81,176 +79,36 @@ class SolverFreeADMM(IterationStrategy):
         backend=None,
         precision: str | None = None,
     ):
+        super().__init__(
+            dec.lp, dec.global_cols, dec.counts, config,
+            tracer=tracer if tracer is not None else NULL_TRACER,
+            backend=resolve_backend(backend, precision),
+        )
         self.dec = dec
-        self.config = config or ADMMConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.backend = resolve_backend(backend, precision)
-        b = self.backend
-        lp = dec.lp
-        self.n = lp.n_vars
-        self.n_local = dec.n_local
-        self.c = b.asarray(lp.cost)
-        self.lb = b.asarray(lp.lb)
-        self.ub = b.asarray(lp.ub)
-        self.gcols = b.index_array(dec.global_cols)
-        self.counts = b.asarray(dec.counts)
         # Precomputation (Algorithm 1, lines 2-3): rho-independent.
-        self.local_solver = BatchedLocalSolver.from_decomposition(dec, backend=b)
+        self._bind_local(dec, 1, None)
         self._balancer = ResidualBalancer(
             mu=self.config.balancing_mu,
             tau=self.config.balancing_tau,
             every=self.config.balancing_every,
         )
 
-    # ------------------------------------------------------------------
-    # Update stages (exposed individually for tests and instrumentation)
-    # ------------------------------------------------------------------
-    def global_update(self, z, lam, rho: float):
-        """Eq. (18): closed-form bound-projected global minimizer."""
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / rho, self.n)
-        xhat = (scatter - self.c / rho) / self.counts
-        return b.clip(xhat, self.lb, self.ub)
+    def _bind_local(self, dec, k_n, projections) -> None:
+        self.local_solver = BatchedLocalSolver.from_parts(
+            dec.components * k_n, stack_offsets(dec.offsets, k_n),
+            projections=projections, backend=self.backend,
+        )
 
-    def local_update(self, bx, lam, rho: float):
-        """Eq. (15): batched projection of ``v = B x + lam / rho``."""
-        return self.local_solver.solve(bx + lam / rho)
-
-    def dual_update(self, lam, bx, z, rho: float):
-        """Eq. (19)."""
-        return lam + rho * (bx - z)
-
-    # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop) — delegate to the public stages
-    # ------------------------------------------------------------------
-    def global_step(self, z, lam, rho):
-        return self.global_update(z, lam, rho)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        return self.local_update(bx_eff, lam, rho)
-
-    def dual_step(self, lam, bx_eff, z, rho):
-        return self.dual_update(lam, bx_eff, z, rho)
+    def project(self, v, rho):
+        """Eq. (15): one batched affine projection per component (the
+        bounds live in the global clip, so ``rho`` drops out)."""
+        return self.local_solver.solve(v)
 
     def span_args(self) -> dict:
-        return {"n_vars": self.n, "n_components": self.dec.n_components}
+        return {"n_vars": self.n, "n_components": self.local_solver.n_components}
 
-    # ------------------------------------------------------------------
-    def initial_state(
-        self,
-        x0=None,
-        z0=None,
-        lam0=None,
-    ):
-        """Paper's initialization (line 1), or a warm start if given."""
-        b = self.backend
-        x = (
-            b.from_numpy(self.dec.lp.initial_point())
-            if x0 is None
-            else b.asarray(x0, copy=True)
-        )
-        if x.shape != (self.n,):
-            raise ValueError("warm-start vectors have inconsistent shapes")
-        z = x[self.gcols].copy() if z0 is None else b.asarray(z0, copy=True)
-        lam = b.zeros(self.n_local) if lam0 is None else b.asarray(lam0, copy=True)
-        if z.shape != (self.n_local,) or lam.shape != (self.n_local,):
-            raise ValueError("warm-start vectors have inconsistent shapes")
-        return x, z, lam
-
-    def _make_loop(self, *, watch_stall: bool = True) -> ADMMLoop:
-        return ADMMLoop(
-            self,
-            self.config,
-            backend=self.backend,
-            tracer=self.tracer,
-            balancer=self._balancer,
-            watch_stall=watch_stall,
-        )
-
-    def solve(
-        self,
-        x0=None,
-        z0=None,
-        lam0=None,
-        max_iter: int | None = None,
-        callback=None,
-    ) -> ADMMResult:
-        """Run Algorithm 1 until (16) holds or the iteration budget is hit.
-
-        Parameters
-        ----------
-        x0, z0, lam0:
-            Optional warm start (e.g. the previous :class:`ADMMResult`'s
-            ``x``, ``z``, ``lam`` after a topology change).
-        max_iter:
-            Override the configured budget.
-        callback:
-            Optional ``callback(iteration, x, z, lam, residuals)`` invoked
-            every iteration (used by instrumented benchmark runs).
-
-        Raises
-        ------
-        ConvergenceError
-            Only if ``config.raise_on_max_iter`` and the budget is exhausted.
-        DivergenceError
-            If ``config.divergence_guard`` and an iterate goes non-finite;
-            the error carries the best (last finite) state as ``result``.
-
-        Notes
-        -----
-        Under a backend whose precision policy enables refinement (the
-        ``numpy32`` default), a solve whose relative residuals stall above
-        tolerance is continued in fp64, warm-started from the fp32
-        iterate; the returned result merges both segments.
-        """
-        cfg = self.config
-        budget = cfg.max_iter if max_iter is None else max_iter
-        x, z, lam = self.initial_state(x0, z0, lam0)
-        self._balancer.reset()
-        loop = self._make_loop()
-        outcome = loop.run(x, z, lam, budget=budget, callback=callback)
-        if outcome.stalled and self.refinement_supported:
-            return self._refine(loop, outcome, budget, callback)
-        return loop.result(outcome)
-
-    # ------------------------------------------------------------------
-    def _refinement_solver(self, backend) -> "SolverFreeADMM | None":
-        """An fp64 twin of this solver for the refinement continuation."""
+    def _refinement_solver(self, backend) -> "SolverFreeADMM":
         return type(self)(self.dec, self.config, tracer=self.tracer, backend=backend)
-
-    def _refine(
-        self, loop: ADMMLoop, outcome: LoopOutcome, budget: int, callback
-    ) -> ADMMResult:
-        """Continue a stalled low-precision solve in fp64.
-
-        Classic ADMM-level iterative refinement: the fp32 iterate is a
-        good warm start, and the fp64 continuation recovers the digits
-        fp32 rounding cannot represent.
-        """
-        remaining = budget - outcome.iterations
-        twin = self._refinement_solver(refinement_backend(self.backend))
-        if remaining <= 0 or twin is None:
-            return loop.result(outcome)
-        b = self.backend
-        x64, z64, lam64 = twin.initial_state(
-            b.to_numpy(outcome.x), b.to_numpy(outcome.z), b.to_numpy(outcome.lam)
-        )
-        twin._balancer.reset()
-        loop64 = twin._make_loop(watch_stall=False)
-        out64 = loop64.run(x64, z64, lam64, budget=remaining, callback=callback)
-        result = loop64.result(out64)
-        result.iterations += outcome.iterations
-        if outcome.history is not None and out64.history is not None:
-            merged = outcome.history
-            for name in ("pres", "dres", "eps_prim", "eps_dual", "rho"):
-                getattr(merged, name).extend(getattr(out64.history, name))
-            result.history = merged
-        timers = dict(outcome.timers)
-        for key, val in result.timers.items():
-            timers[key] = timers.get(key, 0.0) + val
-        result.timers = timers
-        result.algorithm = f"{self.algorithm_name} (fp32 + fp64 refinement)"
-        return result
 
     # ------------------------------------------------------------------
     # Instrumentation for the parallel/GPU performance studies

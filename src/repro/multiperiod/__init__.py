@@ -12,17 +12,13 @@ from repro.multiperiod.model import (
     Storage,
     build_multiperiod_lp,
 )
-from repro.multiperiod.solve import (
-    MultiPeriodSolverFreeADMM,
-    decompose_multiperiod,
-)
+from repro.multiperiod.solve import decompose_multiperiod
 
 __all__ = [
     "Storage",
     "MultiPeriodProblem",
     "build_multiperiod_lp",
     "decompose_multiperiod",
-    "MultiPeriodSolverFreeADMM",
     "HorizonStep",
     "HorizonResult",
     "rolling_horizon",

@@ -9,7 +9,8 @@ with the window shifted by one.  Windows use non-cyclic storage chains
 of every window) anchored at the carried-over ``soc0``.
 
 Each window solve goes through either the consensus ADMM
-(:class:`~repro.multiperiod.solve.MultiPeriodSolverFreeADMM`) or the
+(:class:`~repro.socp.solver.ConicSolverFreeADMM` over the zero-cone
+multi-period decomposition) or the
 exact HiGHS reference; the committed trajectory satisfies the SoC
 dynamics by construction of the committed charge/discharge powers, and —
 under the reference solver — matches the solved ``se`` variables to
@@ -25,8 +26,9 @@ import numpy as np
 from repro.backend.policy import HOST_DTYPE
 from repro.core.config import ADMMConfig
 from repro.multiperiod.model import Storage, _suffix, build_multiperiod_lp
-from repro.multiperiod.solve import MultiPeriodSolverFreeADMM, decompose_multiperiod
+from repro.multiperiod.solve import decompose_multiperiod
 from repro.reference import solve_reference
+from repro.socp.solver import ConicSolverFreeADMM
 from repro.utils.exceptions import FormulationError
 
 
@@ -132,7 +134,7 @@ def rolling_horizon(
             ref = solve_reference(prob.to_centralized())
             x, objective, iterations, converged = ref.x, float(ref.objective), 0, True
         else:
-            admm = MultiPeriodSolverFreeADMM(
+            admm = ConicSolverFreeADMM(
                 decompose_multiperiod(prob),
                 config if config is not None else ADMMConfig(),
                 backend=backend,

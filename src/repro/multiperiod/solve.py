@@ -9,9 +9,8 @@ each solved by the batched closed-form affine projection.
 
 from __future__ import annotations
 
-from repro.core.config import ADMMConfig
 from repro.multiperiod.model import MultiPeriodProblem
-from repro.socp.solver import ConicDecomposition, ConicSolverFreeADMM, decompose_conic
+from repro.socp.solver import ConicDecomposition, decompose_conic
 
 
 class _ConicView:
@@ -34,18 +33,3 @@ class _ConicView:
 def decompose_multiperiod(problem: MultiPeriodProblem) -> ConicDecomposition:
     """Support-grouped decomposition of the time-expanded LP."""
     return decompose_conic(_ConicView(problem))
-
-
-class MultiPeriodSolverFreeADMM(ConicSolverFreeADMM):
-    """Solver-free consensus ADMM over the multi-period components."""
-
-    algorithm_name = "solver-free ADMM (multi-period with storage)"
-
-    def __init__(
-        self,
-        dec: ConicDecomposition,
-        config: ADMMConfig | None = None,
-        backend=None,
-        precision: str | None = None,
-    ):
-        super().__init__(dec, config, backend=backend, precision=precision)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop
 from repro.core.results import ADMMResult
 from repro.core.solver_free import SolverFreeADMM
 from repro.decomposition.decomposed import DecomposedOPF
@@ -118,6 +117,10 @@ class CompressedSolverFreeADMM(SolverFreeADMM):
     #: carried into an fp64 twin, so stalled fp32 runs are returned as-is.
     refinement_supported = False
     supports_balancing = False
+    # The historical compressed loop kept no phase timers or spans.
+    record_timers = False
+    phase_spans = False
+    watch_stall = False
 
     def __init__(
         self,
@@ -135,24 +138,12 @@ class CompressedSolverFreeADMM(SolverFreeADMM):
         self.bytes_dense = 0
 
     def local_step(self, bx_eff, z_prev, lam, rho):
-        z_exact = self.local_solver.solve(bx_eff + lam / rho)
+        z_exact = self.local_update(bx_eff, lam, rho)
         # Compress the innovation against the operator's current view.
         msg = self.compressor.compress(z_exact - z_prev)
         self.bytes_sent += msg.nbytes
         self.bytes_dense += z_exact.itemsize * z_exact.size
         return z_prev + msg.values
-
-    def _make_loop(self, *, watch_stall: bool = True) -> ADMMLoop:
-        # The historical compressed loop kept no phase timers or spans.
-        return ADMMLoop(
-            self,
-            self.config,
-            backend=self.backend,
-            tracer=self.tracer,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )
 
     def solve(self, x0=None, z0=None, lam0=None, max_iter=None, callback=None) -> ADMMResult:
         self.bytes_sent = 0

@@ -27,7 +27,7 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy
+from repro.core.consensus import ConsensusADMM
 from repro.core.residuals import compute_residuals
 from repro.core.results import ADMMResult
 from repro.decomposition.decomposed import DecomposedOPF
@@ -60,6 +60,21 @@ class IterationTimeline:
         return sum(comm) / len(comm)
 
 
+def rank_local_dual(runner, comps, bx_r, lam_r, rho):
+    """One rank's local (15) and dual (19) updates over its contiguous
+    components: the local solves un-batched (the CPU-agent execution
+    path), the dual update the runner's shared rule on the rank's slice."""
+    offsets, local_solver = runner.dec.offsets, runner.local_solver
+    z_r = np.empty(bx_r.size)
+    pos = 0
+    for s in comps:
+        n_s = int(offsets[s + 1] - offsets[s])
+        v_s = bx_r[pos : pos + n_s] + lam_r[pos : pos + n_s] / rho
+        z_r[pos : pos + n_s] = local_solver.solve_one(s, v_s)
+        pos += n_s
+    return z_r, runner.dual_update(lam_r, bx_r, z_r, rho)
+
+
 @dataclass
 class DistributedRunResult:
     """Outcome of a simulated-MPI distributed solve."""
@@ -70,7 +85,7 @@ class DistributedRunResult:
     simulated_total_s: float
 
 
-class DistributedADMMRunner(IterationStrategy):
+class DistributedADMMRunner(ConsensusADMM):
     """Execute Algorithm 1 through the simulated MPI communicator.
 
     Parameters
@@ -91,9 +106,11 @@ class DistributedADMMRunner(IterationStrategy):
         ``cluster-sim`` track (one lane per rank, virtual-clock time) —
         the raw material of the paper's Fig. 1 rendered in Perfetto.
 
-    The iteration skeleton is :class:`repro.core.loop.ADMMLoop`; this class
-    supplies the rank-explicit hooks (fused local+dual update on per-rank
-    virtual clocks, aggregator-side residuals, barrier, timeline).  The
+    The iteration skeleton is :class:`repro.core.loop.ADMMLoop` and the
+    global update (18) the shared :class:`~repro.core.consensus.
+    ConsensusADMM` one; this class supplies the rank-explicit hooks
+    (fused local+dual update on per-rank virtual clocks, aggregator-side
+    residuals, barrier, timeline).  The
     backend is pinned to ``numpy64``: the per-rank un-batched path must
     reproduce the serial batched iterates bit-for-bit, which fp32 matmul
     batching does not guarantee.
@@ -102,6 +119,10 @@ class DistributedADMMRunner(IterationStrategy):
     algorithm_name = "solver-free ADMM (simulated MPI)"
     use_relaxation = False
     supports_balancing = False
+    # Virtual clocks replace wall timers; rank spans replace phase spans.
+    record_timers = False
+    phase_spans = False
+    watch_stall = False
 
     def __init__(
         self,
@@ -111,14 +132,14 @@ class DistributedADMMRunner(IterationStrategy):
         config: ADMMConfig | None = None,
         tracer=None,
     ):
-        self.dec = dec
-        self.config = config or ADMMConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        super().__init__(
+            dec.lp, dec.global_cols, dec.counts, config,
+            tracer=tracer if tracer is not None else NULL_TRACER,
+            backend=get_backend("numpy64"),
+        )
         if self.config.relaxation != 1.0 or self.config.residual_balancing:
             raise ValueError("the distributed runner executes plain Algorithm 1 only")
-        self.backend = get_backend("numpy64")
-        self.c = dec.lp.cost
-        self.gcols = dec.global_cols
+        self.dec = dec
         self.local_solver = BatchedLocalSolver.from_decomposition(dec)
         self.owner = assign_even(dec.n_components, n_ranks)
         self.n_ranks = int(self.owner.max()) + 1
@@ -157,17 +178,13 @@ class DistributedADMMRunner(IterationStrategy):
 
     def global_step(self, z, lam, rho):
         """Aggregator: global update (13)/(18), charged to rank 0's clock."""
-        comm, dec = self._comm, self.dec
+        comm = self._comm
         clock0 = float(comm.clocks[0])
         t0 = time.perf_counter()
-        scatter = self.backend.scatter_add(
-            dec.global_cols, z - lam / rho, dec.lp.n_vars
-        )
-        xhat = (scatter - dec.lp.cost / rho) / dec.counts
-        x = self.backend.clip(xhat, dec.lp.lb, dec.lp.ub)
+        x = self.global_update(z, lam, rho)
         # The consensus gather happens on the aggregator, inside its
         # timed block; the engine's gather() just reads it back.
-        self._bx = x[dec.global_cols]
+        self._bx = x[self.gcols]
         comm.advance(0, time.perf_counter() - t0)
         if self.tracer:
             self._trace_rank("rank.global_update", 0, clock0, float(comm.clocks[0]))
@@ -197,14 +214,9 @@ class DistributedADMMRunner(IterationStrategy):
             lam_r = lam[idx]
             clock_r = float(comm.clocks[r])
             t0 = time.perf_counter()
-            z_r = np.empty(idx.size)
-            pos = 0
-            for s in self._rank_components[r]:
-                n_s = int(dec.offsets[s + 1] - dec.offsets[s])
-                v_s = bx_r[pos : pos + n_s] + lam_r[pos : pos + n_s] / rho
-                z_r[pos : pos + n_s] = self.local_solver.solve_one(s, v_s)
-                pos += n_s
-            lam_r = lam_r + rho * (bx_r - z_r)
+            z_r, lam_r = rank_local_dual(
+                self, self._rank_components[r], bx_r, lam_r, rho
+            )
             dt = time.perf_counter() - t0
             comm.advance(r, dt)
             if tracer:
@@ -253,26 +265,9 @@ class DistributedADMMRunner(IterationStrategy):
     # ------------------------------------------------------------------
     def solve(self, max_iter: int | None = None) -> DistributedRunResult:
         """Run to the (16) criterion; returns result + simulated timeline."""
-        cfg = self.config
-        budget = cfg.max_iter if max_iter is None else max_iter
-        dec = self.dec
         self._comm = comm = SimComm(self.n_ranks, self.comm_model)
         self._timeline = IterationTimeline()
-
-        x = dec.lp.initial_point()
-        z = x[dec.global_cols].copy()
-        lam = np.zeros(dec.n_local)
-        # Virtual clocks replace wall timers; rank spans replace phase spans.
-        loop = ADMMLoop(
-            self,
-            cfg,
-            backend=self.backend,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )
-        outcome = loop.run(x, z, lam, budget=budget)
-        result = loop.result(outcome)
+        result = super().solve(max_iter=max_iter)
         return DistributedRunResult(
             result=result,
             timeline=self._timeline,

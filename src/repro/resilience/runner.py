@@ -42,14 +42,15 @@ import numpy as np
 from repro.backend import get_backend
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy, RewindSignal, truncate_history
+from repro.core.consensus import ConsensusADMM
+from repro.core.loop import RewindSignal
 from repro.core.residuals import compute_residuals
-from repro.core.results import ADMMResult, IterationHistory
+from repro.core.results import ADMMResult
 from repro.decomposition.decomposed import DecomposedOPF
 from repro.parallel.assignment import assign_even, rank_partition, reassign_surviving
 from repro.parallel.comm import CommModel
 from repro.parallel.mpi_sim import SimComm
-from repro.parallel.runner import IterationTimeline
+from repro.parallel.runner import IterationTimeline, rank_local_dual
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.telemetry import TRACK_CLUSTER, NULL_TRACER
@@ -87,11 +88,7 @@ class FaultTolerantRunResult:
         )
 
 
-#: Backwards-compatible alias; the canonical helper lives with the engine.
-_truncate_history = truncate_history
-
-
-class FaultTolerantADMMRunner(IterationStrategy):
+class FaultTolerantADMMRunner(ConsensusADMM):
     """Algorithm 1 over simulated MPI with checkpoint/restart failover.
 
     Parameters
@@ -131,6 +128,10 @@ class FaultTolerantADMMRunner(IterationStrategy):
     algorithm_name = "solver-free ADMM (fault-tolerant simulated MPI)"
     use_relaxation = False
     supports_balancing = False
+    # Virtual clocks replace wall timers and phase spans.
+    record_timers = False
+    phase_spans = False
+    watch_stall = False
 
     def __init__(
         self,
@@ -146,8 +147,12 @@ class FaultTolerantADMMRunner(IterationStrategy):
         metrics: MetricsRegistry | None = None,
         tracer=None,
     ):
+        super().__init__(
+            dec.lp, dec.global_cols, dec.counts, config,
+            tracer=tracer if tracer is not None else NULL_TRACER,
+            backend=get_backend("numpy64"),
+        )
         self.dec = dec
-        self.config = config or ADMMConfig()
         if self.config.relaxation != 1.0 or self.config.residual_balancing:
             raise ValueError("the fault-tolerant runner executes plain Algorithm 1 only")
         if staleness_bound < 0:
@@ -159,9 +164,6 @@ class FaultTolerantADMMRunner(IterationStrategy):
             raise ValueError(
                 "rank 0 is the aggregator; aggregator failover is not supported"
             )
-        self.backend = get_backend("numpy64")
-        self.c = dec.lp.cost
-        self.gcols = dec.global_cols
         self.local_solver = BatchedLocalSolver.from_decomposition(dec)
         owner = assign_even(dec.n_components, n_ranks)
         self.n_ranks = int(owner.max()) + 1
@@ -173,7 +175,6 @@ class FaultTolerantADMMRunner(IterationStrategy):
         self.staleness_bound = int(staleness_bound)
         self.stale_slack_s = float(stale_slack_s)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._initial_owner = owner
 
     # ------------------------------------------------------------------
@@ -183,14 +184,7 @@ class FaultTolerantADMMRunner(IterationStrategy):
         """One rank's local + dual updates, charged to its virtual clock
         (scaled by any active straggler slowdown)."""
         t0 = time.perf_counter()
-        z_r = np.empty(bx_r.size)
-        pos = 0
-        for s in comps_r:
-            n_s = int(self.dec.offsets[s + 1] - self.dec.offsets[s])
-            v_s = bx_r[pos : pos + n_s] + lam_r[pos : pos + n_s] / rho
-            z_r[pos : pos + n_s] = self.local_solver.solve_one(s, v_s)
-            pos += n_s
-        lam_out = lam_r + rho * (bx_r - z_r)
+        z_r, lam_out = rank_local_dual(self, comps_r, bx_r, lam_r, rho)
         dt = (time.perf_counter() - t0) * injector.slowdown(r)
         comm.advance(r, dt)
         injector.corrupt(z_r, f"rank:{r}")
@@ -246,16 +240,10 @@ class FaultTolerantADMMRunner(IterationStrategy):
 
     def global_step(self, z, lam, rho):
         """Aggregator: global update (13)/(18) on rank 0's clock."""
-        st = self._st
-        comm = st["comm"]
-        dec = self.dec
+        comm = self._st["comm"]
         t0 = time.perf_counter()
-        scatter = self.backend.scatter_add(
-            dec.global_cols, z - lam / rho, dec.lp.n_vars
-        )
-        xhat = (scatter - dec.lp.cost / rho) / dec.counts
-        x = self.backend.clip(xhat, dec.lp.lb, dec.lp.ub)
-        self._bx = x[dec.global_cols]
+        x = self.global_update(z, lam, rho)
+        self._bx = x[self.gcols]
         comm.advance(0, time.perf_counter() - t0)
         return x
 
@@ -437,8 +425,6 @@ class FaultTolerantADMMRunner(IterationStrategy):
             If ``config.divergence_guard`` and an iterate goes non-finite
             (e.g. under injected NaN corruption with no surviving replica).
         """
-        cfg = self.config
-        budget = cfg.max_iter if max_iter is None else max_iter
         dec = self.dec
         injector = FaultInjector(self.plan, self.metrics)
         comm = SimComm(self.n_ranks, self.comm_model, injector=injector)
@@ -447,10 +433,8 @@ class FaultTolerantADMMRunner(IterationStrategy):
         )
         ckpts = CheckpointStore(every=self.checkpoint_every)
 
-        x = dec.lp.initial_point()
-        z = x[dec.global_cols].copy()
-        lam = np.zeros(dec.n_local)
-        ckpts.save(0, z, lam, cfg.rho)
+        _, z, lam = self.initial_state()
+        ckpts.save(0, z, lam, self.config.rho)
 
         # Per-solve mutable state shared across the engine hooks.
         self._st = st = {
@@ -476,16 +460,7 @@ class FaultTolerantADMMRunner(IterationStrategy):
         }
         st["ckpt_counter"].inc()
 
-        loop = ADMMLoop(
-            self,
-            cfg,
-            backend=self.backend,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )
-        outcome = loop.run(x, z, lam, budget=budget)
-        result = loop.result(outcome)
+        result = super().solve(max_iter=max_iter)
         return FaultTolerantRunResult(
             result=result,
             timeline=st["timeline"],

@@ -34,9 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.batch import BatchedLocalSolver, projection_data
+from repro.core.baseline import BenchmarkADMM
+from repro.core.batch import projection_data
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy
+from repro.core.consensus import ScenarioBatch
+from repro.core.solver_free import SolverFreeADMM
 from repro.decomposition import decompose
 from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation import build_centralized_lp
@@ -47,11 +49,9 @@ from repro.gpu.kernel_sim import simulate_local_update
 from repro.io.resolve import resolve_feeder
 from repro.methods.facade import METHOD_SPECS, Method
 from repro.methods.reference import solve_reference_socp
-from repro.qp.projection import project_box_affine
 from repro.reference import solve_reference
 from repro.socp.bfm import build_bfm_socp
-from repro.socp.cone import project_rotated_soc_batch
-from repro.socp.solver import decompose_conic
+from repro.socp.solver import ConicSolverFreeADMM, decompose_conic
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.policy import CircuitBreaker, CircuitOpenError, ResilienceConfig
 from repro.serve.metrics import ServingMetrics
@@ -77,44 +77,35 @@ from repro.utils.timing import PhaseTimer, Timer
 #: Thread count per block used for the modeled local-update kernel spans.
 KERNEL_SIM_THREADS = 64
 
-#: Engine config of the stacked batch solves.  Per-request options replace
-#: the usual hyper-parameters (rho / eps_rel / budget are per-scenario
-#: vectors inside the strategy), so only the control-flow flags matter —
-#: in particular ``raise_on_max_iter`` stays off: budget exhaustion is an
-#: ``iteration_limit`` response status, never an exception.
-_STACKED_CONFIG = ADMMConfig(record_history=False)
-
-
-@dataclass
-class _ScenarioComponent:
-    """One component's local system under a specific scenario."""
-
-    n_vars: int
-    a: np.ndarray
-    b: np.ndarray
+#: The rung solver each method's stacked batches run on.
+_RUNG_SOLVERS = {
+    "linearized": SolverFreeADMM,
+    "qp": BenchmarkADMM,
+    "socp": ConicSolverFreeADMM,
+}
 
 
 @dataclass
 class ScenarioProblem:
-    """A fully assembled scenario: perturbed LP + per-component systems.
+    """A fully assembled scenario: perturbed model + cached local systems.
 
-    ``lp`` (linearized/qp scenarios) or ``conic`` (socp scenarios) is
-    retained for the graceful-degradation path: when the batched ADMM
-    solve of this scenario diverges and retries run out, the engine falls
-    back to a centralized reference solve of exactly this model — HiGHS
-    on the LP, or the HiGHS cutting-plane loop on the conic problem.
+    ``lp`` (linearized/qp scenarios) or ``conic`` (socp scenarios) is the
+    scenario's model: the stacked solve reads its cost, bounds and initial
+    point, and the graceful-degradation path falls back to a centralized
+    reference solve of exactly this model when the batched ADMM solve
+    diverges and retries run out — HiGHS on the LP, or the HiGHS
+    cutting-plane loop on the conic problem.
     """
 
     request: OPFRequest
-    cost: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    x0_default: np.ndarray
-    components: list[_ScenarioComponent]
     projections: list[tuple[np.ndarray, np.ndarray]]
     signature: np.ndarray
     lp: object = None
     conic: object = None
+
+    @property
+    def model(self):
+        return self.lp if self.lp is not None else self.conic
 
 
 class TopologyPlan:
@@ -146,11 +137,6 @@ class TopologyPlan:
             self.conic = build_bfm_socp(self.net, **spec.build_kwargs)
             cdec = self.cdec = decompose_conic(self.conic)
             self.n_vars = self.conic.n_vars
-            self.n_local = cdec.n_local
-            self.global_cols = cdec.global_cols
-            self.counts = cdec.counts
-            self.n_linear = cdec.n_linear
-            self.linear_offsets = cdec.offsets_linear
             n_cones = cdec.cone_cols.shape[0]
             linear_sizes = np.array(
                 [c.n_vars for c in cdec.linear], dtype=np.int64
@@ -159,7 +145,6 @@ class TopologyPlan:
             self.sizes = np.concatenate(
                 [linear_sizes, np.full(n_cones, 4, dtype=np.int64)]
             )
-            self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
             # Row ownership in decompose_conic's first-seen order.
             self._owner_to_spec = {}
             for row in self.conic.rows:
@@ -173,10 +158,6 @@ class TopologyPlan:
             self.lp = build_centralized_lp(self.net)
             self.dec = decompose(self.lp)
             self.n_vars = self.lp.n_vars
-            self.n_local = self.dec.n_local
-            self.global_cols = self.dec.global_cols
-            self.counts = self.dec.counts
-            self.offsets = self.dec.offsets
             self.sizes = np.array(
                 [c.n_vars for c in self.dec.components], dtype=np.int64
             )
@@ -257,22 +238,16 @@ class TopologyPlan:
         rows_by_spec: list[list] = [[] for _ in self.dec.specs]
         for row in lp.rows:
             rows_by_spec[self._owner_to_spec[row.owner]].append(row)
-        components, projections = self._cached_components(rows_by_spec)
         return ScenarioProblem(
             request=request,
-            cost=lp.cost,
-            lb=lp.lb,
-            ub=lp.ub,
-            x0_default=lp.initial_point(),
-            components=components,
-            projections=projections,
+            projections=self._cached_projections(rows_by_spec),
             signature=self._signature(net),
             lp=lp,
         )
 
-    def _cached_components(
+    def _cached_projections(
         self, rows_by_spec: list[list]
-    ) -> tuple[list[_ScenarioComponent], list[tuple[np.ndarray, np.ndarray]]]:
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Assemble each component's local system through the cache.
 
         The cached pair is method-specific — ``(M, bbar)`` batched
@@ -280,7 +255,6 @@ class TopologyPlan:
         reduced ``(A, b)`` rows for ``qp`` — but the content-addressing
         (raw system bytes) and the hit accounting are identical.
         """
-        components: list[_ScenarioComponent] = []
         projections: list[tuple[np.ndarray, np.ndarray]] = []
         for s, rows in enumerate(rows_by_spec):
             keys = self._local_keys[s]
@@ -297,11 +271,8 @@ class TopologyPlan:
                 self.factorizations_computed += 1
             else:
                 self.factorizations_reused += 1
-            components.append(
-                _ScenarioComponent(n_vars=len(keys), a=np.zeros((0, len(keys))), b=np.zeros(0))
-            )
             projections.append(cached)
-        return components, projections
+        return projections
 
     def _build_scenario_socp(self, request: OPFRequest, net) -> ScenarioProblem:
         """Assemble one conic scenario: the perturbation re-enters through
@@ -317,17 +288,10 @@ class TopologyPlan:
         rows_by_spec: list[list] = [[] for _ in self.cdec.linear]
         for row in conic.rows:
             rows_by_spec[self._owner_to_spec[row.owner]].append(row)
-        components, projections = self._cached_components(rows_by_spec)
         return ScenarioProblem(
             request=request,
-            cost=conic.cost,
-            lb=conic.lb,
-            ub=conic.ub,
-            x0_default=conic.initial_point(),
-            components=components,
-            projections=projections,
+            projections=self._cached_projections(rows_by_spec),
             signature=self._signature(net),
-            lp=None,
             conic=conic,
         )
 
@@ -371,304 +335,6 @@ class _BatchOutcome:
     def __post_init__(self) -> None:
         if self.diverged is None:
             self.diverged = []
-
-
-class _StackedStatus:
-    """The residual view the iteration engine sees for a stacked batch:
-    scalar aggregates for tracing plus ``converged`` = every scenario
-    retired (converged, budget-exhausted, timed out or diverged)."""
-
-    __slots__ = ("pres", "dres", "eps_prim", "eps_dual", "converged", "finite")
-
-    def __init__(self, pres, dres, eps_prim, eps_dual, converged):
-        self.pres = pres
-        self.dres = dres
-        self.eps_prim = eps_prim
-        self.eps_dual = eps_dual
-        self.converged = converged
-        self.finite = True
-
-
-class _StackedBatchStrategy(IterationStrategy):
-    """K independent same-topology scenarios as one consensus problem.
-
-    The union of the scenarios is itself a valid instance of Algorithm 1
-    (block-diagonal stacking, scenario-major layout), so the batch runs on
-    the shared :class:`~repro.core.loop.ADMMLoop` like every other solver
-    variant.  What is *not* shared is termination: each scenario owns its
-    rho / eps_rel / budget / deadline, converges independently (its
-    solution snapshot is frozen the iteration it finishes), and a
-    non-finite iterate retires only its own slices.  The engine-level
-    divergence guard is therefore disabled (``guard_enabled = False``) in
-    favor of this per-scenario isolation, which feeds the caller's
-    retry/degradation policy instead of raising.
-    """
-
-    algorithm_name = "stacked solver-free ADMM"
-    use_relaxation = False
-    supports_balancing = False
-    guard_enabled = False
-
-    def __init__(self, engine: "ScenarioEngine", plan: TopologyPlan, problems, solver):
-        b = engine.backend
-        self.backend = b
-        self.plan = plan
-        self.problems = problems
-        self.solver = solver
-        self.injector = engine.injector if engine.injector else None
-        k_n = len(problems)
-        self.k_n = k_n
-        self.n = plan.n_vars
-        self.n_local = plan.n_local
-        self.gcols = b.index_array(
-            np.concatenate([plan.global_cols + k * self.n for k in range(k_n)])
-        )
-        self.counts = b.asarray(np.tile(plan.counts, k_n))
-        self.c = b.asarray(np.concatenate([p.cost for p in problems]))
-        self.lb = b.asarray(np.concatenate([p.lb for p in problems]))
-        self.ub = b.asarray(np.concatenate([p.ub for p in problems]))
-        # Per-scenario solve options, expanded to the stacked dimensions.
-        # rho enters the iterates in the compute dtype (no silent fp64
-        # promotion under fp32); the host fp64 copy feeds the residuals.
-        self.rho_k = np.array([p.request.options.rho for p in problems])
-        self.eps_k = np.array([p.request.options.eps_rel for p in problems])
-        self.budget_k = np.array([p.request.options.max_iter for p in problems])
-        self.rho_g = b.asarray(np.repeat(self.rho_k, self.n))
-        self.rho_l = b.asarray(np.repeat(self.rho_k, self.n_local))
-        # Per-scenario termination bookkeeping (host-side).
-        self.done = np.zeros(k_n, dtype=bool)
-        self.iters = np.zeros(k_n, dtype=np.int64)
-        self.conv = np.zeros(k_n, dtype=bool)
-        self.pres_at = np.full(k_n, np.inf)
-        self.dres_at = np.full(k_n, np.inf)
-        self.diverged = np.zeros(k_n, dtype=bool)
-        self.timed_out = np.zeros(k_n, dtype=bool)
-        self.snap_x = self.snap_z = self.snap_lam = None
-        # Per-scenario absolute deadlines (submit-relative when known).
-        deadline_at = np.full(k_n, np.inf)
-        for k, p in enumerate(problems):
-            d = p.request.options.deadline_s
-            if d is not None:
-                t0 = engine._submit_times.get(id(p.request))
-                deadline_at[k] = (t0 if t0 is not None else time.perf_counter()) + d
-        self.deadline_at = deadline_at
-        self.has_deadline = bool(np.isfinite(deadline_at).any())
-        self.check_every = engine.resilience.deadline_check_every
-        self._iteration = 0
-
-    def bind_state(self, x, z, lam) -> None:
-        """Seed the solution snapshots from the initial state — the values
-        reported for scenarios that never converge within budget."""
-        self.snap_x = x.copy()
-        self.snap_z = z.copy()
-        self.snap_lam = lam.copy()
-
-    # -- engine hooks ---------------------------------------------------
-    def span_args(self) -> dict:
-        return {"scenarios": self.k_n, "n_vars": self.k_n * self.n}
-
-    def on_iteration_start(self, iteration: int, z, lam, rho):
-        self._iteration = iteration
-        return z, lam
-
-    def global_step(self, z, lam, rho):
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / self.rho_l, self.k_n * self.n)
-        return b.clip((scatter - self.c / self.rho_g) / self.counts, self.lb, self.ub)
-
-    def _local_solve(self, v):
-        """The method-specific stacked local update (subclass hook)."""
-        return self.solver.solve(v)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        z = self._local_solve(bx_eff + lam / self.rho_l)
-        injector = self.injector
-        if injector is not None:
-            # Chaos hook: seeded NaN corruption of a target scenario's
-            # local iterate (the batched-kernel payload), applied to the
-            # scenario's own slice only.
-            injector.begin_iteration(self._iteration)
-            n_local = self.n_local
-            for k, p in enumerate(self.problems):
-                if not self.done[k]:
-                    injector.corrupt(
-                        z[k * n_local : (k + 1) * n_local], p.request.request_id
-                    )
-        return z
-
-    def dual_step(self, lam, bx_eff, z, rho):
-        return lam + self.rho_l * (bx_eff - z)
-
-    def residuals(self, iteration, x, bx, z, z_prev, lam, rho) -> _StackedStatus:
-        """Per-scenario residuals of (16) plus the retirement bookkeeping:
-        scenario-major slices reshape cleanly to (K, n_local)."""
-        b = self.backend
-        xp = b.xp
-        acc = b.accumulate_dtype
-        k_n, n, n_local = self.k_n, self.n, self.n_local
-        diff = (bx - z).reshape(k_n, n_local).astype(acc, copy=False)
-        move = (z - z_prev).reshape(k_n, n_local).astype(acc, copy=False)
-        pres = b.to_numpy(xp.linalg.norm(diff, axis=1))
-        dres = self.rho_k * b.to_numpy(xp.linalg.norm(move, axis=1))
-        norm_bx = xp.linalg.norm(
-            bx.reshape(k_n, n_local).astype(acc, copy=False), axis=1
-        )
-        norm_z = xp.linalg.norm(
-            z.reshape(k_n, n_local).astype(acc, copy=False), axis=1
-        )
-        eps_prim = self.eps_k * b.to_numpy(xp.maximum(norm_bx, norm_z))
-        eps_dual = self.eps_k * b.to_numpy(
-            xp.linalg.norm(lam.reshape(k_n, n_local).astype(acc, copy=False), axis=1)
-        )
-        done = self.done
-        # Divergence isolation: a non-finite iterate retires its scenario
-        # immediately (for retry/degradation by the caller) and its slices
-        # are reset so no NaN survives into later iterations.
-        bad = ~done & ~(np.isfinite(pres) & np.isfinite(dres))
-        if bad.any():
-            self.diverged |= bad
-            done |= bad
-            self.iters[bad] = iteration
-            for k in np.flatnonzero(bad):
-                gs = slice(k * n, (k + 1) * n)
-                ls = slice(k * n_local, (k + 1) * n_local)
-                p = self.problems[k]
-                x[gs] = p.x0_default
-                z[ls] = p.x0_default[self.plan.global_cols]
-                lam[ls] = 0.0
-        # Deadline sweep: cheap, so only every `check_every` iterations.
-        if self.has_deadline and iteration % self.check_every == 0:
-            late = ~done & (self.deadline_at < time.perf_counter())
-            if late.any():
-                self.timed_out |= late
-                done |= late
-                self.iters[late] = iteration
-        converged_now = (pres <= eps_prim) & (dres <= eps_dual)
-        newly = ~done & (converged_now | (iteration >= self.budget_k))
-        if newly.any():
-            self.conv |= newly & converged_now
-            self.iters[newly] = iteration
-            self.pres_at[newly] = pres[newly]
-            self.dres_at[newly] = dres[newly]
-            for k in np.flatnonzero(newly):
-                gs = slice(k * n, (k + 1) * n)
-                ls = slice(k * n_local, (k + 1) * n_local)
-                self.snap_x[gs], self.snap_z[ls], self.snap_lam[ls] = (
-                    x[gs], z[ls], lam[ls],
-                )
-            done |= newly
-        return _StackedStatus(
-            pres=float(pres.max()),
-            dres=float(dres.max()),
-            eps_prim=float(eps_prim.min()),
-            eps_dual=float(eps_dual.min()),
-            converged=bool(done.all()),
-        )
-
-
-class _StackedQPStrategy(_StackedBatchStrategy):
-    """The ``qp`` rung stacked: benchmark ADMM over same-topology scenarios.
-
-    Mirrors :class:`~repro.core.baseline.BenchmarkADMM` in its closed-form
-    ``projection`` local mode — the global step is *unclipped* (bounds
-    move into the local box-QPs), and each component's local update is the
-    exact projection onto ``{A_s x = b_s} ∩ [lb_s, ub_s]``.  Shares all
-    residual/snapshot/deadline/divergence bookkeeping with the base.
-    """
-
-    algorithm_name = "stacked benchmark ADMM (box-QP projections)"
-
-    def __init__(self, engine: "ScenarioEngine", plan: TopologyPlan, problems):
-        super().__init__(engine, plan, problems, solver=None)
-        # Stacked local bounds: scenario k's component s sees the scenario
-        # LP's bounds gathered through the shared column map.
-        self.lbl = np.concatenate([p.lb[plan.global_cols] for p in problems])
-        self.ubl = np.concatenate([p.ub[plan.global_cols] for p in problems])
-
-    def global_step(self, z, lam, rho):
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / self.rho_l, self.k_n * self.n)
-        return (scatter - self.c / self.rho_g) / self.counts
-
-    def _local_solve(self, v):
-        b = self.backend
-        v = b.to_numpy(v)
-        z = np.empty_like(v)
-        offsets = self.plan.offsets
-        n_local = self.n_local
-        for k, p in enumerate(self.problems):
-            base = k * n_local
-            for s, (a_red, b_red) in enumerate(p.projections):
-                sl = slice(base + int(offsets[s]), base + int(offsets[s + 1]))
-                z[sl] = project_box_affine(
-                    v[sl], a_red, b_red, self.lbl[sl], self.ubl[sl]
-                )
-        return b.asarray(z)
-
-
-class _StackedConicStrategy(_StackedBatchStrategy):
-    """The ``socp`` rung stacked: conic consensus ADMM over K scenarios.
-
-    Per-scenario layout is ``[linear components | 4-wide cone blocks]``
-    (the conic decomposition's stacked order), scenario-major — so the
-    shared residual reshape, snapshot freezing and divergence isolation
-    of the base apply unchanged.  The linear parts of *all* scenarios run
-    through one :class:`~repro.core.batch.BatchedLocalSolver` (padded
-    batched matmuls, exactly the linearized engine's amortization) and
-    every cone of every scenario goes through one vectorized rotated-SOC
-    projection call.
-    """
-
-    algorithm_name = "stacked solver-free conic ADMM"
-
-    def __init__(self, engine: "ScenarioEngine", plan: TopologyPlan, problems):
-        comps_all = [c for p in problems for c in p.components]
-        projections_all = [pr for p in problems for pr in p.projections]
-        linear_sizes = plan.sizes[: len(plan.cdec.linear)]
-        sizes_lin = np.tile(linear_sizes, len(problems))
-        offsets_lin = np.concatenate([[0], np.cumsum(sizes_lin)])
-        solver = BatchedLocalSolver.from_parts(
-            comps_all, offsets_lin, projections=projections_all,
-            backend=engine.backend,
-        )
-        super().__init__(engine, plan, problems, solver)
-        self.n_linear = plan.n_linear
-
-    def _local_solve(self, v):
-        b = self.backend
-        xp = b.xp
-        k_n, n_local, n_linear = self.k_n, self.n_local, self.n_linear
-        vmat = v.reshape(k_n, n_local)
-        z = b.empty(k_n * n_local)
-        zmat = z.reshape(k_n, n_local)
-        zmat[:, :n_linear] = self.solver.solve(
-            xp.ascontiguousarray(vmat[:, :n_linear]).reshape(-1)
-        ).reshape(k_n, n_linear)
-        cone = vmat[:, n_linear:].reshape(-1, 4)
-        u, w, pq = project_rotated_soc_batch(cone[:, 0], cone[:, 1], cone[:, 2:])
-        out = xp.concatenate([u[:, None], w[:, None], pq], axis=1)
-        zmat[:, n_linear:] = out.reshape(k_n, n_local - n_linear)
-        return z
-
-
-def _make_stacked_strategy(
-    engine: "ScenarioEngine", plan: TopologyPlan, problems
-) -> _StackedBatchStrategy:
-    """Dispatch the plan's method to its stacked strategy (the serving
-    side of the :mod:`repro.methods` facade)."""
-    if plan.method == "socp":
-        return _StackedConicStrategy(engine, plan, problems)
-    if plan.method == "qp":
-        return _StackedQPStrategy(engine, plan, problems)
-    comps_all = [c for p in problems for c in p.components]
-    projections_all = [pr for p in problems for pr in p.projections]
-    sizes_all = np.tile(plan.sizes, len(problems))
-    offsets_all = np.concatenate([[0], np.cumsum(sizes_all)])
-    solver = BatchedLocalSolver.from_parts(
-        comps_all, offsets_all, projections=projections_all,
-        backend=engine.backend,
-    )
-    return _StackedBatchStrategy(engine, plan, problems, solver)
 
 
 class ScenarioEngine:
@@ -1101,6 +767,14 @@ class ScenarioEngine:
             )
         return breaker
 
+    def _deadline_at(self, request: OPFRequest) -> float:
+        """Absolute ``perf_counter`` deadline (submit-relative when known)."""
+        deadline = request.options.deadline_s
+        if deadline is None:
+            return np.inf
+        t0 = self._submit_times.get(id(request))
+        return (t0 if t0 is not None else time.perf_counter()) + deadline
+
     def _deadline_expired(self, request: OPFRequest) -> bool:
         deadline = request.options.deadline_s
         if deadline is None:
@@ -1214,21 +888,34 @@ class ScenarioEngine:
         self, plan: TopologyPlan, problems: list[ScenarioProblem]
     ) -> _BatchOutcome:
         """One ADMM run over the union of K independent same-topology
-        scenarios (scenario-major stacking), dispatched through the shared
-        :class:`~repro.core.loop.ADMMLoop` under the engine's backend."""
+        scenarios (scenario-major stacking): the plan's rung solver over
+        K-stacked data, with per-scenario termination, deadlines and
+        divergence isolation in its :class:`~repro.core.consensus.
+        ScenarioBatch` residual hook, under the engine's backend."""
         b = self.backend
         k_n = len(problems)
-        n = plan.n_vars
-        n_local = plan.n_local
-
         sizes_all = np.tile(plan.sizes, k_n)
+        options = [p.request.options for p in problems]
         with self.timers.measure("stack"):
-            strat = _make_stacked_strategy(self, plan, problems)
+            solver = _RUNG_SOLVERS[plan.method].stacked(
+                plan.cdec if plan.method == "socp" else plan.dec,
+                [p.model for p in problems],
+                [pr for p in problems for pr in p.projections],
+                backend=b,
+            )
+            batch = ScenarioBatch(
+                solver,
+                rho=[o.rho for o in options],
+                eps_rel=[o.eps_rel for o in options],
+                max_iter=[o.max_iter for o in options],
+                deadline_at=[self._deadline_at(p.request) for p in problems],
+                check_every=self.resilience.deadline_check_every,
+                injector=self.injector if self.injector else None,
+                targets=[p.request.request_id for p in problems],
+            )
 
         # Warm starts: seed each scenario from its nearest cached neighbour.
-        x = b.empty(k_n * n)
-        z = b.empty(k_n * n_local)
-        lam = b.empty(k_n * n_local)
+        x, z, lam = (a.copy() for a in batch.cold)
         warm = np.zeros(k_n, dtype=bool)
         warm_dist = np.full(k_n, np.nan)
         with self.tracer.span("serve.warm_lookup", cat="serve", scenarios=k_n):
@@ -1238,35 +925,15 @@ class ScenarioEngine:
                     if self.warm_start
                     else None
                 )
-                gs, ls = slice(k * n, (k + 1) * n), slice(k * n_local, (k + 1) * n_local)
                 if hit is not None:
                     entry, dist = hit
+                    gs, ls = batch.slices(k)
                     x[gs], z[ls], lam[ls] = entry.x, entry.z, entry.lam
                     warm[k], warm_dist[k] = True, dist
-                else:
-                    x[gs] = p.x0_default
-                    z[ls] = p.x0_default[plan.global_cols]
-                    lam[ls] = 0.0
-        strat.bind_state(x, z, lam)
 
-        # Stacked Algorithm 1 on the shared engine.  Per-scenario
-        # termination, deadlines and divergence isolation live in the
-        # strategy's residuals hook; the engine's history/balancing/stall
-        # machinery is off (per-request options replace the ADMMConfig).
-        loop = ADMMLoop(
-            strat,
-            _STACKED_CONFIG,
-            backend=b,
-            tracer=self.tracer,
-            record_timers=False,
-            record_history=False,
-            watch_stall=False,
-        )
         trc = self.tracer
         t_solve = time.perf_counter()
-        outcome = loop.run(
-            x, z, lam, budget=int(strat.budget_k.max()), rho=float(strat.rho_k[0])
-        )
+        outcome = batch.run(x, z, lam, tracer=trc)
         t_end = time.perf_counter()
         iteration = outcome.iterations
         solve_seconds = t_end - t_solve
@@ -1280,7 +947,7 @@ class ScenarioEngine:
                 args={"scenarios": k_n, "iterations": iteration},
             )
         modeled = iteration_times_from_sizes(
-            self.device, sizes_all, k_n * n, itemsize=b.policy.itemsize
+            self.device, sizes_all, k_n * plan.n_vars, itemsize=b.policy.itemsize
         )
         self.metrics.record_modeled_gpu_iteration(modeled.total_s)
         if trc:
@@ -1288,18 +955,17 @@ class ScenarioEngine:
 
         # Results come off the backend as host fp64 (a view under NumPy
         # fp64, so the default path stays bit-identical).
-        snap_x = b.to_numpy(strat.snap_x)
-        snap_z = b.to_numpy(strat.snap_z)
-        snap_lam = b.to_numpy(strat.snap_lam)
-        iters, conv, timed_out = strat.iters, strat.conv, strat.timed_out
+        snap_x = b.to_numpy(batch.snap_x)
+        snap_z = b.to_numpy(batch.snap_z)
+        snap_lam = b.to_numpy(batch.snap_lam)
+        iters, conv, timed_out = batch.iters, batch.conv, batch.timed_out
         responses = []
         for k, p in enumerate(problems):
-            if strat.diverged[k]:
+            if batch.diverged[k]:
                 # The caller owns diverged scenarios (retry, then degrade
                 # or error) — no response, and latency is settled there.
                 continue
-            gs = slice(k * n, (k + 1) * n)
-            ls = slice(k * n_local, (k + 1) * n_local)
+            gs, ls = batch.slices(k)
             if conv[k]:
                 status = STATUS_CONVERGED
             elif timed_out[k]:
@@ -1309,10 +975,10 @@ class ScenarioEngine:
             resp = OPFResponse(
                 request_id=p.request.request_id,
                 status=status,
-                objective=None if timed_out[k] else float(p.cost @ snap_x[gs]),
+                objective=None if timed_out[k] else float(p.model.cost @ snap_x[gs]),
                 iterations=int(iters[k]) if iters[k] else iteration,
-                pres=float(strat.pres_at[k]),
-                dres=float(strat.dres_at[k]),
+                pres=float(batch.pres_at[k]),
+                dres=float(batch.dres_at[k]),
                 warm_started=bool(warm[k]),
                 warm_distance=float(warm_dist[k]) if warm[k] else None,
                 solve_seconds=solve_seconds,
@@ -1341,5 +1007,5 @@ class ScenarioEngine:
             responses=responses,
             iterations_run=iteration,
             solve_seconds=solve_seconds,
-            diverged=[int(k) for k in np.flatnonzero(strat.diverged)],
+            diverged=[int(k) for k in np.flatnonzero(batch.diverged)],
         )

@@ -24,8 +24,7 @@ from repro.backend import resolve_backend
 from repro.backend.policy import HOST_DTYPE
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
-from repro.core.loop import ADMMLoop, IterationStrategy
-from repro.core.results import ADMMResult
+from repro.core.consensus import ConsensusADMM, stack_offsets
 from repro.decomposition.rowreduce import reduced_row_echelon
 from repro.formulation.rows import Row, rows_to_dense_local
 from repro.socp.bfm import ConicProblem
@@ -145,12 +144,14 @@ def decompose_conic(problem: ConicProblem, rref_tol: float = 1e-9) -> ConicDecom
     )
 
 
-class ConicSolverFreeADMM(IterationStrategy):
+class ConicSolverFreeADMM(ConsensusADMM):
     """Consensus ADMM over linear + conic components, all closed form.
 
-    Runs on :class:`repro.core.loop.ADMMLoop` like every other variant;
-    the cone projections are dtype-preserving, so fp32 backends carry
-    through unchanged.
+    Runs on :class:`repro.core.loop.ADMMLoop` with the shared updates of
+    :class:`repro.core.consensus.ConsensusADMM`; the cone projections are
+    dtype-preserving, so fp32 backends carry through unchanged.  The
+    local operator works over a ``(K, n_local)`` view of the stacked
+    vector: a single solve is K = 1, a serving batch K scenarios.
     """
 
     algorithm_name = "solver-free conic ADMM (branch-flow SOCP)"
@@ -158,6 +159,10 @@ class ConicSolverFreeADMM(IterationStrategy):
     # over-relaxation or rho rescaling.
     use_relaxation = False
     supports_balancing = False
+    # The historical conic loop kept no phase timers, spans or stall watch.
+    record_timers = False
+    phase_spans = False
+    watch_stall = False
 
     def __init__(
         self,
@@ -166,81 +171,42 @@ class ConicSolverFreeADMM(IterationStrategy):
         backend=None,
         precision: str | None = None,
     ):
-        self.dec = dec
-        self.config = config or ADMMConfig()
+        super().__init__(
+            dec.problem, dec.global_cols, dec.counts, config,
+            backend=resolve_backend(backend, precision),
+        )
         if self.config.residual_balancing or self.config.relaxation != 1.0:
             raise ValueError("the conic solver runs plain ADMM only")
-        self.backend = resolve_backend(backend, precision)
-        b = self.backend
-        problem = dec.problem
-        self.n = problem.n_vars
-        self.n_local = dec.n_local
-        self.c = b.asarray(problem.cost)
-        self.lb = b.asarray(problem.lb)
-        self.ub = b.asarray(problem.ub)
-        self.gcols = b.index_array(dec.global_cols)
-        self.counts = b.asarray(dec.counts)
-        self.linear_solver = BatchedLocalSolver.from_parts(
-            dec.linear, dec.offsets_linear, backend=b
-        )
+        self.dec = dec
+        self._bind_local(dec, 1, None)
 
-    def local_update(self, v) -> np.ndarray:
-        """Batched closed-form projections: affine blocks, then cones."""
-        dec = self.dec
-        b = self.backend
-        z = b.empty(self.n_local)
-        z[: dec.n_linear] = self.linear_solver.solve(v[: dec.n_linear])
-        cone_part = v[dec.n_linear :].reshape(-1, 4)
-        u, w, pq = project_rotated_soc_batch(
-            cone_part[:, 0], cone_part[:, 1], cone_part[:, 2:]
+    def _bind_local(self, dec, k_n, projections) -> None:
+        self.linear_solver = BatchedLocalSolver.from_parts(
+            dec.linear * k_n, stack_offsets(dec.offsets_linear, k_n),
+            projections=projections, backend=self.backend,
         )
-        out = b.xp.concatenate([u[:, None], w[:, None], pq], axis=1)
-        z[dec.n_linear :] = out.reshape(-1)
+        self.n_linear = dec.n_linear
+        self.block = dec.n_local  # one scenario's stacked local length
+
+    def project(self, v, rho):
+        """Batched closed-form projections: affine blocks, then cones."""
+        b = self.backend
+        xp = b.xp
+        n_linear, block = self.n_linear, self.block
+        vmat = v.reshape(-1, block)
+        k_n = vmat.shape[0]
+        z = b.empty(v.size)
+        zmat = z.reshape(k_n, block)
+        zmat[:, :n_linear] = self.linear_solver.solve(
+            xp.ascontiguousarray(vmat[:, :n_linear]).reshape(-1)
+        ).reshape(k_n, n_linear)
+        cone = vmat[:, n_linear:].reshape(-1, 4)
+        u, w, pq = project_rotated_soc_batch(cone[:, 0], cone[:, 1], cone[:, 2:])
+        out = xp.concatenate([u[:, None], w[:, None], pq], axis=1)
+        zmat[:, n_linear:] = out.reshape(k_n, block - n_linear)
         return z
 
-    # ------------------------------------------------------------------
-    # Engine hooks (repro.core.loop)
-    # ------------------------------------------------------------------
-    def global_step(self, z, lam, rho):
-        b = self.backend
-        scatter = b.scatter_add(self.gcols, z - lam / rho, self.n)
-        return b.clip((scatter - self.c / rho) / self.counts, self.lb, self.ub)
-
-    def local_step(self, bx_eff, z_prev, lam, rho):
-        return self.local_update(bx_eff + lam / rho)
-
     def span_args(self) -> dict:
-        return {"n_vars": self.n, "n_components": self.dec.n_components}
-
-    def solve(self, x0: np.ndarray | None = None, max_iter: int | None = None) -> ADMMResult:
-        """Run to the (16) criterion.
-
-        Raises
-        ------
-        ConvergenceError
-            Only if ``config.raise_on_max_iter`` is set and the budget runs
-            out.
-        """
-        cfg = self.config
-        b = self.backend
-        budget = cfg.max_iter if max_iter is None else max_iter
-        x = (
-            b.from_numpy(self.dec.problem.initial_point())
-            if x0 is None
-            else b.asarray(x0, copy=True)
-        )
-        if x.shape != (self.n,):
-            raise ValueError("warm start has wrong length")
-        z = x[self.gcols].copy()
-        lam = b.zeros(self.n_local)
-        # The historical conic loop kept no phase timers or spans.
-        loop = ADMMLoop(
-            self,
-            cfg,
-            backend=b,
-            record_timers=False,
-            phase_spans=False,
-            watch_stall=False,
-        )
-        outcome = loop.run(x, z, lam, budget=budget)
-        return loop.result(outcome)
+        linear = self.linear_solver
+        n_cones = (self.n_local - linear.n_local) // 4
+        return {"n_vars": self.n, "n_components": linear.n_components + n_cones}

@@ -22,7 +22,6 @@ from repro.stochastic.sampler import (
 )
 from repro.stochastic.solve import (
     StochasticSolution,
-    StochasticSolverFreeADMM,
     VSSReport,
     decompose_stochastic,
     evaluate_first_stage,
@@ -42,7 +41,6 @@ __all__ = [
     "default_first_stage",
     "sample_cvar",
     "StochasticSolution",
-    "StochasticSolverFreeADMM",
     "VSSReport",
     "decompose_stochastic",
     "evaluate_first_stage",

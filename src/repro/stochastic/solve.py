@@ -56,21 +56,6 @@ def decompose_stochastic(problem: StochasticProblem) -> ConicDecomposition:
     return decompose_conic(_ConicView(problem))
 
 
-class StochasticSolverFreeADMM(ConicSolverFreeADMM):
-    """Solver-free consensus ADMM over all scenarios' components at once."""
-
-    algorithm_name = "solver-free ADMM (two-stage stochastic)"
-
-    def __init__(
-        self,
-        dec: ConicDecomposition,
-        config: ADMMConfig | None = None,
-        backend=None,
-        precision: str | None = None,
-    ):
-        super().__init__(dec, config, backend=backend, precision=precision)
-
-
 @dataclass
 class StochasticSolution:
     """One solved two-stage instance plus its risk read-outs.
@@ -121,7 +106,7 @@ def solve_two_stage(
         objective=objective,
         fix_first_stage=fix_first_stage,
     )
-    solver = StochasticSolverFreeADMM(
+    solver = ConicSolverFreeADMM(
         decompose_stochastic(problem), config, backend=backend, precision=precision
     )
     result = solver.solve()

@@ -11,11 +11,11 @@ strategies produce stays in the backend's compute dtype (reductions are
 import numpy as np
 import pytest
 
-import repro.serve.engine as serve_engine
 from repro.backend import get_backend
 from repro.core.baseline import BenchmarkADMM
 from repro.core.batch import BatchedLocalSolver
 from repro.core.config import ADMMConfig
+from repro.core.consensus import ConsensusADMM
 from repro.core.solver_free import SolverFreeADMM
 from repro.decomposition import decompose
 from repro.feeders import ieee13
@@ -130,15 +130,16 @@ class TestConic:
 
 class TestServe:
     def test_stacked_solve_stays_fp32(self, monkeypatch):
+        # Stacked batches run the rung solver's own local step.
         seen = []
-        orig = serve_engine._StackedBatchStrategy.local_step
+        orig = ConsensusADMM.local_step
 
         def spy(self, bx_eff, z_prev, lam, rho):
             z = orig(self, bx_eff, z_prev, lam, rho)
             seen.append((bx_eff.dtype, z.dtype, lam.dtype))
             return z
 
-        monkeypatch.setattr(serve_engine._StackedBatchStrategy, "local_step", spy)
+        monkeypatch.setattr(ConsensusADMM, "local_step", spy)
         engine = ScenarioEngine(max_batch=4, backend="numpy32", precision="fp32")
         reqs = [
             OPFRequest(request_id=f"s{i}", load_scale=1 + 0.01 * i) for i in range(3)

@@ -153,6 +153,27 @@ class TestCostModel:
         assert times.total_s > 0
 
 
+class TestWarmStartValidation:
+    """Every rung shares one warm-start driver, so a mis-shaped warm start
+    fails the same way whichever rung it is handed to."""
+
+    @pytest.mark.parametrize("method", ["linearized", "qp", "socp"])
+    def test_mis_shaped_warm_starts_rejected(self, method):
+        solver = make_method_solver(build_method_problem(ieee13(), method))
+        x, z, lam = solver.initial_state()
+        bad = [
+            {"x0": x[:-1]},
+            {"x0": x, "z0": z[:-1]},
+            {"x0": x, "z0": z[:1]},
+            {"x0": x, "z0": z, "lam0": lam[:1]},
+        ]
+        for kwargs in bad:
+            with pytest.raises(ValueError, match="inconsistent shapes"):
+                solver.solve(max_iter=1, **kwargs)
+        # Well-shaped warm starts are accepted by every rung.
+        assert solver.solve(x0=x, z0=z, lam0=lam, max_iter=1).iterations == 1
+
+
 class TestMethodKeys:
     """Digest back-compat: linearized is the default and leaves keys alone."""
 

@@ -6,12 +6,12 @@ import pytest
 from repro.core import ADMMConfig
 from repro.feeders import SyntheticFeederSpec, build_synthetic_feeder
 from repro.multiperiod import (
-    MultiPeriodSolverFreeADMM,
     Storage,
     build_multiperiod_lp,
     decompose_multiperiod,
 )
 from repro.reference import solve_reference
+from repro.socp import ConicSolverFreeADMM
 from repro.utils.exceptions import FormulationError
 
 
@@ -130,7 +130,7 @@ class TestDistributedSolve:
     def test_admm_matches_reference(self, mp_setup):
         prob, ref, _ = mp_setup
         dec = decompose_multiperiod(prob)
-        res = MultiPeriodSolverFreeADMM(
+        res = ConicSolverFreeADMM(
             dec, ADMMConfig(max_iter=200_000, record_history=False)
         ).solve()
         assert res.converged

@@ -265,10 +265,16 @@ class TestScenarioEngine:
         assert by_id["tight"].iterations == 10
         assert by_id["full"].iterations > 10
 
-    def test_stacked_batch_matches_single_solves(self):
+    @pytest.mark.parametrize("method", ["linearized", "qp", "socp"])
+    def test_stacked_batch_matches_single_solves(self, method):
         """Scenarios solved together in one stacked batch follow the same
         iteration trajectory as cold solo solves: identical objectives and
-        iteration counts."""
+        iteration counts.  The qp and socp batches are checked against
+        their rung's single solve of the same scenario model at a fixed
+        200-iteration budget."""
+        if method != "linearized":
+            self._check_stacked_rung_matches_single_solves(method)
+            return
         scales = [1.0, 1.05, 1.1]
         batched = ScenarioEngine(max_batch=4)
         single = ScenarioEngine(max_batch=1)
@@ -284,6 +290,40 @@ class TestScenarioEngine:
         for rid in rb:
             assert rb[rid].objective == pytest.approx(rs[rid].objective, abs=1e-9)
             assert rb[rid].iterations == rs[rid].iterations
+
+    @staticmethod
+    def _check_stacked_rung_matches_single_solves(method):
+        from repro.core import ADMMConfig, BenchmarkADMM
+        from repro.decomposition import decompose
+        from repro.socp import ConicSolverFreeADMM, decompose_conic
+
+        opts = SolveOptions(max_iter=200)
+        reqs = [
+            OPFRequest(request_id=f"s{i}", load_scale=s, method=method, options=opts)
+            for i, s in enumerate([1.0, 1.05, 1.1])
+        ]
+        engine = ScenarioEngine(max_batch=4, warm_start=False, backend="numpy64")
+        batched = {r.request_id: r for r in engine.serve(reqs)}
+        plan = next(iter(engine.plans.values()))
+        cfg = ADMMConfig(rho=opts.rho, eps_rel=opts.eps_rel, max_iter=opts.max_iter)
+        for req in reqs:
+            scenario = plan.build_scenario(req)
+            if method == "qp":
+                solver = BenchmarkADMM(
+                    decompose(scenario.lp), cfg, local_mode="projection",
+                    backend="numpy64",
+                )
+            else:
+                solver = ConicSolverFreeADMM(
+                    decompose_conic(scenario.conic), cfg, backend="numpy64"
+                )
+            single = solver.solve()
+            resp = batched[req.request_id]
+            assert resp.iterations == single.iterations == opts.max_iter
+            assert resp.objective == single.objective
+            # The batch reduces its residual norms per scenario row.
+            assert resp.pres == pytest.approx(single.pres, rel=1e-12)
+            assert resp.dres == pytest.approx(single.dres, rel=1e-12)
 
     def test_gen_limit_perturbation_changes_solution(self):
         engine = ScenarioEngine(max_batch=2)

@@ -236,7 +236,7 @@ class TestConicSolver:
         prob = build_bfm_socp(ieee13_net)
         dec = decompose_conic(prob)
         solver = ConicSolverFreeADMM(dec, ADMMConfig(max_iter=5))
-        with pytest.raises(ValueError, match="wrong length"):
+        with pytest.raises(ValueError, match="inconsistent shapes"):
             solver.solve(x0=np.zeros(3))
 
     def test_synthetic_feeder_socp(self, small_net):

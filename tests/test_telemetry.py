@@ -301,6 +301,23 @@ class TestInstrumentationIntegration:
         # Every rank contributed compute spans.
         assert {e.tid for e in cluster if e.name == "rank.local_update"} == set(range(4))
 
+    def test_stacked_batch_span_names_the_batch(self):
+        from repro.serve import OPFRequest, ScenarioEngine, SolveOptions
+
+        tracer = Tracer()
+        engine = ScenarioEngine(max_batch=4, tracer=tracer)
+        engine.serve([
+            OPFRequest(request_id=f"r{i}", load_scale=1.0 + 0.05 * i,
+                       options=SolveOptions(max_iter=20))
+            for i in range(3)
+        ])
+        (ev,) = [e for e in tracer.events() if e.name == "admm.solve"]
+        assert ev.args["algorithm"] == "stacked solver-free ADMM"
+        assert ev.args["scenarios"] == 3
+        (plan,) = engine.plans.values()
+        single = plan.dec.lp.n_vars
+        assert ev.args["n_vars"] == 3 * single
+
     def test_kernel_sim_emits_modeled_span(self):
         from repro.gpu.device import A100
         from repro.gpu.kernel_sim import simulate_local_update
